@@ -100,7 +100,7 @@ def checksum_arrays(arrays: Mapping[str, np.ndarray]) -> str:
         h.update(key.encode("utf-8"))
         h.update(str(a.dtype).encode("ascii"))
         h.update(repr(a.shape).encode("ascii"))
-        h.update(a.tobytes())
+        h.update(a)  # the contiguous buffer itself: same bytes as a.tobytes()
     return f"sha256:{h.hexdigest()}"
 
 

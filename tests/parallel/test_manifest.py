@@ -6,6 +6,7 @@ every corruption mode (tampered bytes, missing file, wrong signature)
 must be *detected*, never silently trusted.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -67,6 +68,41 @@ class TestChecksum:
     def test_checksum_key_order_invariant(self):
         p, q = np.arange(3), np.arange(3, 6)
         assert checksum_arrays({"p": p, "q": q}) == checksum_arrays({"q": q, "p": p})
+
+    @staticmethod
+    def tobytes_checksum(arrays):
+        """The digest as first defined: ``a.tobytes()`` copies per array."""
+        h = hashlib.sha256()
+        for key in sorted(arrays):
+            a = np.ascontiguousarray(arrays[key])
+            h.update(key.encode("utf-8"))
+            h.update(str(a.dtype).encode("ascii"))
+            h.update(repr(a.shape).encode("ascii"))
+            h.update(a.tobytes())
+        return f"sha256:{h.hexdigest()}"
+
+    def test_buffer_digest_equals_tobytes_digest(self, tmp_path):
+        """Hashing the array's own buffer yields the same digest as
+        hashing a ``tobytes()`` copy, on every layout that reaches it."""
+        grid = np.arange(24, dtype=np.int64).reshape(4, 6)
+        mapped = np.memmap(tmp_path / "m.bin", dtype=np.int64, mode="w+", shape=(50,))
+        mapped[:] = np.arange(50) * 7
+        cases = {
+            "strided": np.arange(40, dtype=np.int64)[::3],
+            "transposed": grid.T,
+            "fortran": np.asfortranarray(grid),
+            "empty": np.zeros(0, dtype=np.int64),
+            "empty-2d": np.zeros((0, 3), dtype=np.int32),
+            "scalar": np.array(7, dtype=np.int64),
+            "bool": np.array([True, False, True]),
+            "bool-strided": np.arange(10) % 3 == 0,
+            "memmap": mapped,
+            "memmap-slice": mapped[5:45:2],
+            "float": np.linspace(0, 1, 9),
+        }
+        for name, a in cases.items():
+            assert checksum_arrays({"a": a}) == self.tobytes_checksum({"a": a}), name
+        assert checksum_arrays(cases) == self.tobytes_checksum(cases)
 
 
 class TestManifestRoundTrip:
